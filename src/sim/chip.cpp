@@ -1,6 +1,7 @@
 #include "sim/chip.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -24,6 +25,8 @@ util::Status SimConfig::check() const {
     status.note("SimConfig: fewer banks than controllers");
   if (model_lockstep && lockstep_window == 0)
     status.note("SimConfig: lockstep_window must be >= 1");
+  if (lockstep_window > (std::uint64_t{1} << 20))  // sizes the lockstep ring
+    status.note("SimConfig: lockstep_window must be <= 2^20");
   unsigned num_sockets = 1;
   if (numa.enabled) {
     status.merge(numa.node.check());
@@ -164,11 +167,11 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
   mc_corrupted_.assign(cfg_.interleave.num_controllers(), 0);
   corruption_log_.clear();
   min_iteration_ = 0;
-  runnable_ = RunQueue{};
-  parked_ = ParkQueue{};
-  iter_ring_.assign(cfg_.lockstep_window + 2, 0);
+  iter_ring_.assign(std::bit_ceil(cfg_.lockstep_window + 2), 0);
 
   const unsigned n = num_threads();
+  runnable_.reset(n);
+  parked_.reset(n);
   threads_.assign(n, ThreadState{});
   alive_ = n;
   iter_ring_[0] = n;  // every thread starts at iteration 0
@@ -183,7 +186,7 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
     ts.batch.resize(256);
     ts.store_slot.assign(cfg_.calibration.store_buffer_entries, 0);
     expected_accesses += ts.program->total_accesses();
-    runnable_.emplace(0, t);
+    runnable_.set(t, 0);
   }
 
   // Fault state: epoch 0 of the schedule (the schedule-free case is a single
@@ -216,18 +219,23 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
   };
 
   std::uint64_t steps = 0;
+  arch::Cycles next_boundary = 0;  // the first event computes the real one
   while (!runnable_.empty()) {
-    const auto [when, tid] = runnable_.top();
-    runnable_.pop();
-    // The queue pops the globally earliest thread, so once its clock passes
+    const arch::Cycles when = runnable_.top_value();
+    const unsigned tid = runnable_.top_slot();
+    // The tree yields the globally earliest thread, so once its clock passes
     // a fault transition every later reservation is on the far side too:
     // applying the epoch here keeps the timeline consistent. Requests
     // already enqueued drain with the old parameters (in-flight traffic is
-    // not reshaped by a transition).
-    if (epoch_idx_ + 1 < sched_epochs_.size() &&
-        when >= sched_epochs_[epoch_idx_ + 1].begin)
+    // not reshaped by a transition). Epochs go first, then samples.
+    if (when >= next_boundary) {
       advance_epochs(when);
-    if (when >= next_sample_) advance_samples(when);
+      advance_samples(when);
+      next_boundary = std::min(next_sample_,
+                               epoch_idx_ + 1 < sched_epochs_.size()
+                                   ? sched_epochs_[epoch_idx_ + 1].begin
+                                   : FaultSchedule::kNever);
+    }
     if (cfg_.cycle_budget != 0 && when > cfg_.cycle_budget) {
       obs::trace_instant("sim.watchdog", "sim", when, cfg_.cycle_budget);
       return util::Expected<SimResult>::failure(
@@ -238,13 +246,15 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
           " advertised accesses processed");
     }
     ThreadState& ts = threads_[tid];
-    switch (step(ts)) {
-      case StepOutcome::kRan:
-        runnable_.emplace(ts.time, tid);
-        break;
-      case StepOutcome::kParked:
-      case StepOutcome::kDone:
-        break;  // bookkeeping happened inside step()
+    if (step(ts) != StepOutcome::kRan) {
+      runnable_.erase(tid);  // park/retire bookkeeping happened inside step()
+    } else if (ts.time < runnable_.value_limit()) {
+      runnable_.set(tid, ts.time);
+    } else {  // threads this step unparked sit at or below its clock
+      return util::Expected<SimResult>::failure(
+          "Chip::run: thread " + std::to_string(tid) + " clock " +
+          std::to_string(ts.time) + " passed the event-order ceiling of " +
+          std::to_string(runnable_.value_limit()) + " cycles");
     }
     // The runaway-program check is amortized: scanning thread counters every
     // step would cost O(threads) per access.
@@ -256,7 +266,7 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
     }
   }
   if (!parked_.empty()) {
-    obs::trace_instant("sim.deadlock", "sim", parked_.size(), 0);
+    obs::trace_instant("sim.deadlock", "sim", alive_, 0);  // all parked
     return util::Expected<SimResult>::failure(
         "Chip::run: lockstep deadlock (parked threads remain)");
   }
@@ -570,15 +580,15 @@ void Chip::maybe_flip(arch::Cycles when, arch::Addr addr, unsigned controller) {
 void Chip::advance_min_iteration(arch::Cycles now) {
   // Running iterations span at most [min, min + window], so the first
   // occupied ring slot is at most window + 1 steps away.
-  const std::size_t ring = iter_ring_.size();
-  while (alive_ != 0 && iter_ring_[min_iteration_ % ring] == 0) ++min_iteration_;
+  const std::size_t mask = iter_ring_.size() - 1;
+  while (alive_ != 0 && iter_ring_[min_iteration_ & mask] == 0) ++min_iteration_;
   while (!parked_.empty() &&
-         parked_.top().first <= min_iteration_ + cfg_.lockstep_window) {
-    const unsigned tid = parked_.top().second;
-    parked_.pop();
+         parked_.top_value() <= min_iteration_ + cfg_.lockstep_window) {
+    const unsigned tid = parked_.top_slot();
+    parked_.erase(tid);
     ThreadState& ts = threads_[tid];
     ts.time = std::max(ts.time, now);
-    runnable_.emplace(ts.time, tid);
+    runnable_.set(tid, ts.time);
   }
 }
 
@@ -592,7 +602,7 @@ Chip::StepOutcome Chip::step(ThreadState& ts) {
       ts.done = true;
       --alive_;
       if (cfg_.model_lockstep) {
-        --iter_ring_[ts.iteration % iter_ring_.size()];
+        --iter_ring_[ts.iteration & (iter_ring_.size() - 1)];
         if (alive_ != 0 && ts.iteration == min_iteration_)
           advance_min_iteration(ts.time);
       }
@@ -604,7 +614,7 @@ Chip::StepOutcome Chip::step(ThreadState& ts) {
   if (cfg_.model_lockstep && ts.batch[ts.batch_pos].begins_iteration) {
     const std::uint64_t next = ts.iteration + 1;
     if (next > min_iteration_ + cfg_.lockstep_window) {
-      parked_.emplace(next, ts.id);
+      parked_.set(ts.id, next);
       return StepOutcome::kParked;
     }
   }
@@ -615,10 +625,10 @@ Chip::StepOutcome Chip::step(ThreadState& ts) {
   if (a.begins_iteration) {
     const std::uint64_t prev = ts.iteration++;
     if (cfg_.model_lockstep) {
-      const std::size_t ring = iter_ring_.size();
-      --iter_ring_[prev % ring];
-      ++iter_ring_[ts.iteration % ring];
-      if (prev == min_iteration_ && iter_ring_[prev % ring] == 0)
+      const std::size_t mask = iter_ring_.size() - 1;
+      --iter_ring_[prev & mask];
+      ++iter_ring_[ts.iteration & mask];
+      if (prev == min_iteration_ && iter_ring_[prev & mask] == 0)
         advance_min_iteration(ts.time);
     }
   }
@@ -671,7 +681,7 @@ Chip::StepOutcome Chip::step(ThreadState& ts) {
 
   if (cfg_.model_store_buffer) {
     arch::Cycles& slot = ts.store_slot[ts.store_head];
-    ts.store_head = (ts.store_head + 1) % ts.store_slot.size();
+    if (++ts.store_head == ts.store_slot.size()) ts.store_head = 0;
     if (slot > ts.time) ts.time = slot;  // buffer full: strand stalls
     const arch::Cycles drain_at = std::max(issue, ts.time);
     // Entry occupies the buffer until the L2 write (incl. RFO) completes.

@@ -21,11 +21,12 @@
 // resources (thread-group issue slots, LS pipes, FPU, L2 banks, controllers)
 // are "earliest start" reservations. All arithmetic is integer cycles, so
 // runs are exactly reproducible.
+// Event order: the runnable thread with the globally earliest (clock, tid)
+// goes next, equal clocks to the lowest tid (sim/winner_tree.h). Past the
+// tree's value_limit() try_run() fails instead of misordering events.
 
 #include <cstdint>
 #include <memory>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "arch/address_map.h"
@@ -38,6 +39,7 @@
 #include "sim/faults.h"
 #include "sim/memory_controller.h"
 #include "sim/program.h"
+#include "sim/winner_tree.h"
 #include "util/expected.h"
 
 namespace mcopt::sim {
@@ -67,7 +69,7 @@ struct SimConfig {
   bool model_lockstep = true;
   /// Maximum iteration lead over the slowest running thread. The default is
   /// calibrated so the Fig. 2 dip and odd-multiple-of-32 levels match the
-  /// paper (3.7 / ~7.4 GB/s reported for 64-thread STREAM triad).
+  /// paper (3.7 / ~7.4 GB/s reported for 64-thread STREAM triad). At most 2^20.
   std::uint64_t lockstep_window = 12;
   /// Injected hardware faults (offline/derated controllers, slow banks,
   /// straggler strands). Default: healthy chip. These are the *baseline*:
@@ -90,8 +92,8 @@ struct SimConfig {
   /// Sample per-controller busy counters every this many cycles into
   /// SimResult::mc_timeline (0 = off). The cadence trades time resolution
   /// against result size: one row per interval per run, with a 2^20-row cap
-  /// (mc_timeline_truncated). Sampling rides the existing event-loop epoch
-  /// check, so the per-access cost is one compare when enabled.
+  /// (mc_timeline_truncated). Sampling shares the event loop's one
+  /// next-boundary compare with epoch transitions.
   arch::Cycles mc_sample_cadence = 0;
 
   /// Multi-socket view: this chip simulates socket `socket` of `node`, and
@@ -336,22 +338,14 @@ class Chip {
   obs::McTimeline timeline_;
   bool timeline_truncated_ = false;
 
-  // Event loop state: (time, thread) min-heap of runnable threads and
-  // (iteration, thread) min-heap of threads parked by the lockstep gate.
-  using RunQueue =
-      std::priority_queue<std::pair<arch::Cycles, unsigned>,
-                          std::vector<std::pair<arch::Cycles, unsigned>>,
-                          std::greater<>>;
-  using ParkQueue =
-      std::priority_queue<std::pair<std::uint64_t, unsigned>,
-                          std::vector<std::pair<std::uint64_t, unsigned>>,
-                          std::greater<>>;
-  RunQueue runnable_;
-  ParkQueue parked_;
+  // Event loop state: runnable threads keyed by time and threads parked by
+  // the lockstep gate keyed by the iteration they wait to begin.
+  WinnerTree runnable_;
+  WinnerTree parked_;
   /// Lockstep bookkeeping: iteration values of running threads always lie in
   /// [min_iteration_, min_iteration_ + lockstep_window], so a ring of
-  /// occupancy counters sized lockstep_window + 2 tracks the minimum in O(1)
-  /// amortized per iteration.
+  /// occupancy counters sized bit_ceil(lockstep_window + 2), indexed by mask,
+  /// tracks the minimum in O(1) amortized per iteration.
   std::vector<unsigned> iter_ring_;
   std::uint64_t min_iteration_ = 0;
   unsigned alive_ = 0;

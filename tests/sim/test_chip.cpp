@@ -36,6 +36,11 @@ TEST(SimConfig, ValidatesLockstepWindow) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.model_lockstep = false;
   EXPECT_NO_THROW(cfg.validate());
+  // The window sizes a power-of-two occupancy ring, so it is bounded.
+  cfg.lockstep_window = (std::uint64_t{1} << 20) + 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.lockstep_window = std::uint64_t{1} << 20;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(Chip, RejectsBadPlacement) {

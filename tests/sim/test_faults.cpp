@@ -590,5 +590,36 @@ TEST(ChipFaults, GenerousBudgetDoesNotTrip) {
   EXPECT_EQ(result.value().accesses, 1024u);
 }
 
+// The run queue packs (clock << 6) | tid at 64 strands, so strand clocks are
+// capped near 2^58 cycles. A straggler lag at the grammar's 2^53 ceiling
+// crosses that in 32 accesses; the run must fail with a diagnostic instead
+// of misordering events.
+TEST(ChipFaults, ClockCeilingFailsTyped) {
+  SimConfig cfg;
+  cfg.faults = FaultSpec::parse("strand5:lag=9007199254740992").value();
+  Chip chip(cfg, arch::equidistant_placement(64, cfg.topology));
+  Workload wl = read_streams(64, 40, arch::Addr{1} << 21);
+  const auto result = chip.try_run(wl);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_NE(result.error().message.find("thread 5"), std::string::npos)
+      << result.error().message;
+  EXPECT_NE(result.error().message.find("ceiling of 288230376151711743"),
+            std::string::npos)
+      << result.error().message;
+}
+
+TEST(ChipFaults, ClockJustBelowCeilingRuns) {
+  SimConfig cfg;
+  cfg.faults = FaultSpec::parse("strand5:lag=9007199254740992").value();
+  Chip chip(cfg, arch::equidistant_placement(64, cfg.topology));
+  Workload wl = read_streams(64, 16, arch::Addr{1} << 21);
+  const auto result = chip.try_run(wl);
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  // 16 lagged accesses: 2^57 cycles plus the strand's own memory time.
+  EXPECT_GE(result.value().thread_finish[5], arch::Cycles{1} << 57);
+  EXPECT_LT(result.value().thread_finish[5], arch::Cycles{1} << 58);
+  EXPECT_EQ(result.value().accesses, 64u * 16u);
+}
+
 }  // namespace
 }  // namespace mcopt::sim
