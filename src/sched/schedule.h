@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/expected.h"
@@ -28,7 +29,10 @@ struct IterRange {
   friend bool operator==(const IterRange&, const IterRange&) = default;
 };
 
-enum class ScheduleKind {
+// 64-bit underlying type so Schedule has no padding bytes: its object
+// representation (hashed, byte-printed as a test parameter) is then fully
+// determined by its value rather than by whatever the stack held.
+enum class ScheduleKind : std::uint64_t {
   kStatic,       ///< one contiguous chunk per thread (OpenMP default static)
   kStaticChunk,  ///< round-robin chunks of fixed size ("static,c")
   kDynamic,      ///< modeled as round-robin chunks (deterministic stand-in)
@@ -50,6 +54,8 @@ struct Schedule {
   /// Throwing wrapper around check().
   void validate() const;
 };
+static_assert(std::has_unique_object_representations_v<Schedule>,
+              "Schedule must have no padding bytes");
 
 /// Chunks executed by thread `t` of `num_threads` over `n` iterations,
 /// in execution order. Matches libgomp semantics for the static schedules.

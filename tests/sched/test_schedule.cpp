@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <type_traits>
 #include <vector>
 
 namespace mcopt::sched {
@@ -66,17 +68,19 @@ TEST(Schedule, InvalidArguments) {
   EXPECT_THROW(chunks_for_thread(10, 4, 4, s), std::invalid_argument);
 }
 
+// Padding-free, so the byte dump gtest names each case by is deterministic.
 struct PartitionCase {
   std::size_t n;
-  unsigned threads;
+  std::size_t threads;
   Schedule schedule;
 };
+static_assert(std::has_unique_object_representations_v<PartitionCase>);
 
 class PartitionProperty : public ::testing::TestWithParam<PartitionCase> {};
 
 TEST_P(PartitionProperty, DisjointAndCovering) {
   const auto& param = GetParam();
-  const auto parts = partition(param.n, param.threads, param.schedule);
+  const auto parts = partition(param.n, static_cast<unsigned>(param.threads), param.schedule);
   ASSERT_EQ(parts.size(), param.threads);
   std::vector<int> covered(param.n, 0);
   for (const auto& chunks : parts)
