@@ -23,14 +23,26 @@ seg::seg_array<double> make_jacobi_grid(std::size_t n, const seg::LayoutSpec& sp
   return seg::seg_array<double>(std::vector<std::size_t>(n, n), spec);
 }
 
+namespace {
+
+/// Row i of an n x n Dirichlet grid: a plain fill, then the two edge cells.
+void init_jacobi_row(double* row, std::size_t i, std::size_t n) noexcept {
+  const bool edge_row = (i == 0 || i + 1 == n);
+  std::fill(row, row + n, edge_row ? 1.0 : 0.0);
+  row[0] = 1.0;
+  row[n - 1] = 1.0;
+}
+
+}  // namespace
+
 void init_jacobi(seg::seg_array<double>& grid) {
   const std::size_t n = grid.num_segments();
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& row = grid.segment(i);
-    const bool edge_row = (i == 0 || i + 1 == n);
-    for (std::size_t j = 0; j < n; ++j)
-      row[j] = (edge_row || j == 0 || j + 1 == n) ? 1.0 : 0.0;
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    init_jacobi_row(grid.segment(i).begin(), i, n);
+}
+
+void init_jacobi(double* grid, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) init_jacobi_row(grid + i * n, i, n);
 }
 
 namespace {

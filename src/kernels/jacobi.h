@@ -31,6 +31,10 @@ void relax_line(double* dl, const double* sa, const double* sb,
 /// Dirichlet setup: boundary = 1, interior = 0.
 void init_jacobi(seg::seg_array<double>& grid);
 
+/// The same Dirichlet setup on a dense row-major n x n grid (n >= 1), the
+/// layout the executor's job bodies use.
+void init_jacobi(double* grid, std::size_t n) noexcept;
+
 /// One OpenMP sweep src -> dst over interior rows; `schedule` maps to the
 /// matching OpenMP runtime schedule. Returns wall seconds.
 double jacobi_sweep_seconds(const seg::seg_array<double>& src,

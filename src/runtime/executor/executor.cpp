@@ -1,6 +1,7 @@
 #include "runtime/executor/executor.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,11 +21,13 @@ constexpr std::size_t shed_index(ShedReason r) noexcept {
   return static_cast<std::size_t>(r);
 }
 
-std::uint32_t crc_grid(const seg::seg_array<double>& g) {
-  util::Crc32c crc;
-  for (std::size_t i = 0; i < g.num_segments(); ++i)
-    crc.update(g.segment(i).begin(), g.segment(i).size() * sizeof(double));
-  return crc.value();
+/// a * b for sizing job storage from a client-given n: throws
+/// std::length_error where the product would wrap to a short buffer.
+std::size_t checked_mul(std::size_t a, std::size_t b) {
+  std::size_t out = 0;
+  if (__builtin_mul_overflow(a, b, &out))
+    throw std::length_error("Executor: job size overflows");
+  return out;
 }
 
 /// Typed shed-event names: one literal per reason so a trace consumer can
@@ -76,6 +79,28 @@ struct ExecMetrics {
 };
 
 }  // namespace
+
+/// Storage a worker reuses for every job it runs. It grows to the largest
+/// job seen and never shrinks; growing drops the old contents instead of
+/// copying them, and nothing is zero-filled, because every job body writes
+/// all of its inputs before reading them. One buffer per worker, rather than
+/// one per job size, keeps a worker's bytes within its core's L2.
+class Executor::JobBuffer {
+ public:
+  /// Room for at least `count` doubles; the contents are unspecified.
+  double* doubles(std::size_t count) {
+    if (count > capacity_) {
+      data_.reset();
+      data_ = std::make_unique_for_overwrite<double[]>(count);
+      capacity_ = count;
+    }
+    return data_.get();
+  }
+
+ private:
+  std::unique_ptr<double[]> data_;
+  std::size_t capacity_ = 0;
+};
 
 Executor::Executor(ExecutorConfig cfg)
     : cfg_(std::move(cfg)),
@@ -249,6 +274,7 @@ bool Executor::cancel(std::uint64_t id) {
 }
 
 void Executor::worker_loop() {
+  JobBuffer buffer;
   for (;;) {
     auto item = queue_.pop([this](Pending& p) {
       // Under the queue lock: reserve the service window against the
@@ -266,11 +292,11 @@ void Executor::worker_loop() {
       }
     });
     if (!item) return;  // closed and drained
-    process(std::move(*item));
+    process(std::move(*item), buffer);
   }
 }
 
-void Executor::process(Pending&& job) {
+void Executor::process(Pending&& job, JobBuffer& buffer) {
   JobReport rep;
   rep.id = job.id;
   rep.kind = job.spec.kind;
@@ -293,7 +319,7 @@ void Executor::process(Pending&& job) {
   } else {
     const obs::TraceSpan span("job.run", "exec", job.id,
                               static_cast<std::uint64_t>(job.spec.kind));
-    run_body(job, rep);
+    run_body(job, rep, buffer);
   }
 
   if (rep.shed == ShedReason::kNone) {
@@ -319,7 +345,7 @@ void Executor::process(Pending&& job) {
   finalize(std::move(rep));
 }
 
-void Executor::run_body(Pending& job, JobReport& rep) {
+void Executor::run_body(Pending& job, JobReport& rep, JobBuffer& buffer) {
   const unsigned iterations = job.spec.iterations;
   unsigned done = 0;
   bool cancelled = false;
@@ -341,7 +367,10 @@ void Executor::run_body(Pending& job, JobReport& rep) {
   switch (job.spec.kind) {
     case JobKind::kTriad: {
       const std::size_t n = std::max<std::size_t>(job.spec.n, 1);
-      std::vector<double> a(n, 0.0), b(n), c(n), d(n);
+      double* const a = buffer.doubles(checked_mul(4, n));
+      double* const b = a + n;
+      double* const c = b + n;
+      double* const d = c + n;
       for (std::size_t i = 0; i < n; ++i) {
         const auto x = static_cast<double>(i);
         b[i] = 1.0 + 0.5 * x;
@@ -353,22 +382,21 @@ void Executor::run_body(Pending& job, JobReport& rep) {
           cancelled = true;
           break;
         }
-        kernels::triad_local(a.data(), b.data(), c.data(), d.data(), n);
+        kernels::triad_local(a, b, c, d, n);
         ++done;
         if (job.spec.on_generation) job.spec.on_generation(done);
       }
-      if (done > 0) rep.field_crc = util::crc32c(a.data(), n * sizeof(double));
+      if (done > 0) rep.field_crc = util::crc32c(a, n * sizeof(double));
       break;
     }
     case JobKind::kJacobi: {
+      // Two dense row-major n x n grids: rows are contiguous, so one CRC
+      // over a grid is the row-by-row FIELD_CRC of a plain-layout seg_array.
       const std::size_t n = std::max<std::size_t>(job.spec.n, 3);
-      const seg::LayoutSpec spec = kernels::jacobi_plain_spec();
-      seg::seg_array<double> g1 = kernels::make_jacobi_grid(n, spec);
-      seg::seg_array<double> g2 = kernels::make_jacobi_grid(n, spec);
-      kernels::init_jacobi(g1);
-      kernels::init_jacobi(g2);
-      seg::seg_array<double>* cur = &g1;
-      seg::seg_array<double>* nxt = &g2;
+      double* cur = buffer.doubles(checked_mul(2, checked_mul(n, n)));
+      double* nxt = cur + n * n;
+      kernels::init_jacobi(cur, n);
+      kernels::init_jacobi(nxt, n);
       for (unsigned it = 0; it < iterations && !cancelled; ++it) {
         // Serial sweep, cancellation polled at row (segment) granularity:
         // observing the token mid-sweep abandons the in-progress destination
@@ -379,17 +407,15 @@ void Executor::run_body(Pending& job, JobReport& rep) {
             cancelled = true;
             break;
           }
-          kernels::relax_line(nxt->segment(i).begin(),
-                              cur->segment(i - 1).begin(),
-                              cur->segment(i + 1).begin(),
-                              cur->segment(i).begin(), n);
+          kernels::relax_line(nxt + i * n, cur + (i - 1) * n,
+                              cur + (i + 1) * n, cur + i * n, n);
         }
         if (cancelled) break;
         std::swap(cur, nxt);
         ++done;
         if (job.spec.on_generation) job.spec.on_generation(done);
       }
-      rep.field_crc = crc_grid(*cur);
+      rep.field_crc = util::crc32c(cur, n * n * sizeof(double));
       break;
     }
     case JobKind::kLbm: {

@@ -230,9 +230,12 @@ class Executor {
     bool expired = false;  ///< reserve hook verdict: shed, don't run
   };
 
+  /// One worker's job storage (defined in executor.cpp).
+  class JobBuffer;
+
   void worker_loop();
-  void process(Pending&& job);
-  void run_body(Pending& job, JobReport& report);
+  void process(Pending&& job, JobBuffer& buffer);
+  void run_body(Pending& job, JobReport& report, JobBuffer& buffer);
   void ingest_sample(const Pending& job);
   void control_step();
   void apply_diagnosis(const sim::FaultSpec& diagnosis, arch::Cycles now);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 namespace mcopt::kernels {
@@ -18,14 +19,52 @@ TEST(JacobiGrid, ShapeAndLayout) {
   EXPECT_THROW(make_jacobi_grid(2, jacobi_plain_spec()), std::invalid_argument);
 }
 
+/// The Dirichlet rule, cell by cell: boundary 1.0, interior 0.0.
+double dirichlet(std::size_t i, std::size_t j, std::size_t n) {
+  return (i == 0 || i + 1 == n || j == 0 || j + 1 == n) ? 1.0 : 0.0;
+}
+
+constexpr unsigned char kUntouched = 0xA5;
+
 TEST(JacobiInit, DirichletBoundary) {
-  auto grid = make_jacobi_grid(8, jacobi_plain_spec());
-  init_jacobi(grid);
-  for (std::size_t i = 0; i < 8; ++i)
-    for (std::size_t j = 0; j < 8; ++j) {
-      const bool edge = i == 0 || i == 7 || j == 0 || j == 7;
-      EXPECT_DOUBLE_EQ(grid.segment(i)[j], edge ? 1.0 : 0.0);
+  // Every byte of the allocation is either a row cell holding exactly the
+  // per-cell rule's value, or padding that init_jacobi leaves alone.
+  for (const bool optimal : {false, true})
+    for (const std::size_t n : {3u, 4u, 5u, 8u, 17u}) {
+      SCOPED_TRACE(testing::Message() << (optimal ? "optimal" : "plain")
+                                      << " n=" << n);
+      auto grid = make_jacobi_grid(
+          n, optimal ? jacobi_optimal_spec(arch::AddressMap{})
+                     : jacobi_plain_spec());
+      auto* bytes = reinterpret_cast<unsigned char*>(grid.base_address());
+      std::memset(bytes, kUntouched, grid.allocated_bytes());
+      init_jacobi(grid);
+
+      std::vector<unsigned char> want(grid.allocated_bytes(), kUntouched);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+          const double v = dirichlet(i, j, n);
+          std::memcpy(&want[grid.segment_position(i) + j * sizeof(double)], &v,
+                      sizeof v);
+        }
+      EXPECT_EQ(std::vector<unsigned char>(bytes, bytes + want.size()), want);
     }
+}
+
+TEST(JacobiInit, DenseGridMatchesPerCellRule) {
+  for (const std::size_t n : {3u, 4u, 5u, 8u, 17u}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    // One guard cell on each side of the n x n grid stays untouched.
+    std::vector<double> got(n * n + 2);
+    std::memset(got.data(), kUntouched, got.size() * sizeof(double));
+    std::vector<double> want = got;
+    init_jacobi(got.data() + 1, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        want[1 + i * n + j] = dirichlet(i, j, n);
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+  }
 }
 
 TEST(JacobiSweep, MatchesReferenceImplementation) {

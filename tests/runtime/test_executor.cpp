@@ -1,5 +1,6 @@
 #include "runtime/executor/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "kernels/jacobi.h"
+#include "kernels/triad.h"
 #include "util/crc.h"
 
 namespace mcopt::runtime::exec {
@@ -365,6 +367,76 @@ TEST(Cancellation, AsyncCancelFieldMatchesReferenceAtIterationsDone) {
   // Wherever the cancel landed, the field is bit-identical to the last
   // completed generation — never a half-written grid.
   EXPECT_EQ(rep.field_crc, reference_jacobi_crc(96, rep.iterations_done));
+}
+
+/// Fresh-allocation reference for the executor's triad body: the FIELD_CRC
+/// of a = b + c*d over its seeded inputs (the same after any sweep count).
+std::uint32_t reference_triad_crc(std::size_t n) {
+  std::vector<double> a(n), b(n), c(n), d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto x = static_cast<double>(i);
+    b[i] = 1.0 + 0.5 * x;
+    c[i] = 2.0 - 1e-3 * x;
+    d[i] = 0.25 + 1e-6 * x;
+  }
+  kernels::triad_local(a.data(), b.data(), c.data(), d.data(), n);
+  return util::crc32c(a.data(), n * sizeof(double));
+}
+
+// Each worker runs every job on one reused buffer: sizes that grow and
+// shrink, kinds that alternate and a cancelled job that abandons a
+// half-written grid must leave every field exactly as fresh storage would.
+TEST(Executor, ReusedJobStorageNeverLeaksStaleData) {
+  for (const unsigned workers : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << workers << " worker(s)");
+    Executor ex(base_config(workers));
+    std::atomic<std::uint64_t> cancel_id{0};
+    std::atomic<bool> id_set{false};
+    JobSpec cancelled = jacobi_job(96, 10);
+    cancelled.on_generation = [&](unsigned gen) {
+      if (gen == 3) {
+        while (!id_set.load()) std::this_thread::yield();
+        EXPECT_TRUE(ex.cancel(cancel_id.load()));
+      }
+    };
+    const std::vector<JobSpec> jobs = {triad_job(16384, 2), jacobi_job(256, 2),
+                                       jacobi_job(24, 3),   triad_job(64, 2),
+                                       cancelled,           jacobi_job(128, 2)};
+    std::vector<std::uint64_t> ids;
+    for (const JobSpec& job : jobs) {
+      const auto r = ex.submit(job);
+      ASSERT_TRUE(r.accepted);
+      ids.push_back(r.id);
+      if (job.on_generation) {
+        cancel_id.store(r.id);
+        id_set.store(true);
+      }
+    }
+    ex.shutdown(Executor::Drain::kDrain);
+
+    const auto reports = ex.reports();
+    ASSERT_EQ(reports.size(), jobs.size());
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      const JobSpec& job = jobs[k];
+      const auto rep =
+          std::find_if(reports.begin(), reports.end(),
+                       [&](const JobReport& r) { return r.id == ids[k]; });
+      ASSERT_NE(rep, reports.end());
+      SCOPED_TRACE(testing::Message() << "job " << k << " n=" << job.n);
+      if (job.on_generation) {
+        EXPECT_EQ(rep->shed, ShedReason::kCancelled);
+        EXPECT_EQ(rep->iterations_done, 3u);
+      } else {
+        EXPECT_TRUE(rep->completed);
+        EXPECT_EQ(rep->iterations_done, job.iterations);
+      }
+      const std::uint32_t want =
+          job.kind == JobKind::kTriad
+              ? reference_triad_crc(job.n)
+              : reference_jacobi_crc(job.n, rep->iterations_done);
+      EXPECT_EQ(rep->field_crc, want);
+    }
+  }
 }
 
 TEST(Cancellation, CancelWhileQueuedShedsWithoutRunning) {
