@@ -354,8 +354,15 @@ TEST(Cancellation, HookCancelMidSweepLeavesFieldAtLastCompletedGeneration) {
 
 TEST(Cancellation, AsyncCancelFieldMatchesReferenceAtIterationsDone) {
   Executor ex(base_config(1));
-  const auto r = ex.submit(jacobi_job(96, 200));
+  std::atomic<bool> running{false};
+  JobSpec job = jacobi_job(96, 200);
+  job.on_generation = [&](unsigned) { running.store(true); };
+  const auto r = ex.submit(job);
   ASSERT_TRUE(r.accepted);
+  // A cancel that lands while the job is still queued sheds it unstarted,
+  // with no field (CancelWhileQueuedShedsWithoutRunning covers that), so
+  // cancel only once the body has completed a generation.
+  while (!running.load()) std::this_thread::yield();
   std::this_thread::sleep_for(3ms);
   (void)ex.cancel(r.id);  // may land anywhere, even after completion
   ex.shutdown(Executor::Drain::kDrain);
