@@ -142,20 +142,12 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
   if (workload.size() != placement_.hw_strand.size())
     throw std::invalid_argument("Chip::run: workload/placement size mismatch");
 
-  // Reset all mutable state so repeated runs are independent. The caches'
-  // geometry is fixed by cfg_: the first run builds them, later runs empty
-  // them in place (a chip that runs once pays for one fill, not two).
-  if (l2_) {
-    l2_->clear();
-    for (Cache& l1 : l1_) l1.clear();
-  } else {
-    l1_.clear();  // l2_ is set last, so a throw here leaves no half-built set
-    for (unsigned c = 0; c < cfg_.topology.num_cores; ++c)
-      l1_.emplace_back(cfg_.topology.l1d, Cache::WritePolicy::kWriteThrough);
-    l2_ = std::make_unique<Cache>(cfg_.topology.l2,
-                                  Cache::WritePolicy::kWriteBack,
-                                  cfg_.l2_index_hash);
-  }
+  // (Re)build all mutable state so repeated runs are independent.
+  l2_ = std::make_unique<Cache>(cfg_.topology.l2, Cache::WritePolicy::kWriteBack,
+                                cfg_.l2_index_hash);
+  l1_.clear();
+  for (unsigned c = 0; c < cfg_.topology.num_cores; ++c)
+    l1_.emplace_back(cfg_.topology.l1d, Cache::WritePolicy::kWriteThrough);
   mcs_.clear();
   for (unsigned m = 0; m < cfg_.interleave.num_controllers(); ++m)
     mcs_.emplace_back(cfg_.calibration, cfg_.interleave, 1.0);

@@ -289,8 +289,7 @@ class Chip {
   arch::Placement placement_;
   arch::AddressMap map_;
 
-  // Caches built by the first run() and emptied in place by later ones; the
-  // shared structures after them are rebuilt per run():
+  // Shared structures rebuilt per run():
   std::unique_ptr<Cache> l2_;
   std::vector<Cache> l1_;                  // per core
   std::vector<MemoryController> mcs_;      // per controller

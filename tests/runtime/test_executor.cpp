@@ -354,15 +354,8 @@ TEST(Cancellation, HookCancelMidSweepLeavesFieldAtLastCompletedGeneration) {
 
 TEST(Cancellation, AsyncCancelFieldMatchesReferenceAtIterationsDone) {
   Executor ex(base_config(1));
-  std::atomic<bool> running{false};
-  JobSpec job = jacobi_job(96, 200);
-  job.on_generation = [&](unsigned) { running.store(true); };
-  const auto r = ex.submit(job);
+  const auto r = ex.submit(jacobi_job(96, 200));
   ASSERT_TRUE(r.accepted);
-  // A cancel that lands while the job is still queued sheds it unstarted,
-  // with no field (CancelWhileQueuedShedsWithoutRunning covers that), so
-  // cancel only once the body has completed a generation.
-  while (!running.load()) std::this_thread::yield();
   std::this_thread::sleep_for(3ms);
   (void)ex.cancel(r.id);  // may land anywhere, even after completion
   ex.shutdown(Executor::Drain::kDrain);
@@ -371,8 +364,12 @@ TEST(Cancellation, AsyncCancelFieldMatchesReferenceAtIterationsDone) {
   ASSERT_EQ(reports.size(), 1u);
   const JobReport& rep = reports[0];
   if (rep.completed) EXPECT_EQ(rep.iterations_done, 200u);
-  // Wherever the cancel landed, the field is bit-identical to the last
-  // completed generation — never a half-written grid.
+  if (rep.shed == ShedReason::kCancelled && rep.iterations_done == 0 &&
+      rep.field_crc == 0)
+    return;  // landed while still queued: shed unstarted, with no field
+  // Wherever else the cancel landed (mid-sweep 1 included), the field is
+  // bit-identical to the last completed generation — never a half-written
+  // grid.
   EXPECT_EQ(rep.field_crc, reference_jacobi_crc(96, rep.iterations_done));
 }
 
