@@ -45,6 +45,15 @@ void init_jacobi(double* grid, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) init_jacobi_row(grid + i * n, i, n);
 }
 
+void init_jacobi_boundary(double* grid, std::size_t n) noexcept {
+  std::fill(grid, grid + n, 1.0);
+  std::fill(grid + (n - 1) * n, grid + n * n, 1.0);
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    grid[i * n] = 1.0;
+    grid[i * n + n - 1] = 1.0;
+  }
+}
+
 namespace {
 
 void apply_omp_schedule(const sched::Schedule& schedule) {

@@ -35,6 +35,12 @@ void init_jacobi(seg::seg_array<double>& grid);
 /// layout the executor's job bodies use.
 void init_jacobi(double* grid, std::size_t n) noexcept;
 
+/// Only the frame of that dense setup: rows 0 and n-1 and columns 0 and n-1
+/// are set to 1.0 and the interior is left untouched. Enough for a sweep's
+/// destination grid, whose interior relax_line writes before anything reads
+/// it (n >= 1).
+void init_jacobi_boundary(double* grid, std::size_t n) noexcept;
+
 /// One OpenMP sweep src -> dst over interior rows; `schedule` maps to the
 /// matching OpenMP runtime schedule. Returns wall seconds.
 double jacobi_sweep_seconds(const seg::seg_array<double>& src,

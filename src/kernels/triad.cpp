@@ -1,5 +1,6 @@
 #include "kernels/triad.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/timer.h"
@@ -9,6 +10,24 @@ namespace mcopt::kernels {
 void triad_local(double* a, const double* b, const double* c, const double* d,
                  std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) a[i] = b[i] + c[i] * d[i];
+}
+
+void init_triad(double* b, double* c, double* d, std::size_t n) noexcept {
+  // The baseline x86-64 target has no vector size_t -> double conversion,
+  // so the index is split into a chunk base and an int offset, which SSE2
+  // converts two at a time. base + j is exact (every index is below 2^53),
+  // so each value equals the one computed from static_cast<double>(i).
+  constexpr std::size_t kChunk = std::size_t{1} << 30;
+  for (std::size_t base = 0; base < n; base += kChunk) {
+    const int len = static_cast<int>(std::min(kChunk, n - base));
+    const auto x0 = static_cast<double>(base);
+    double* const bc = b + base;
+    double* const cc = c + base;
+    double* const dc = d + base;
+    for (int j = 0; j < len; ++j) bc[j] = 1.0 + 0.5 * (x0 + j);
+    for (int j = 0; j < len; ++j) cc[j] = 2.0 - 1e-3 * (x0 + j);
+    for (int j = 0; j < len; ++j) dc[j] = 0.25 + 1e-6 * (x0 + j);
+  }
 }
 
 double triad_plain_sweep_seconds(double* a, const double* b, const double* c,

@@ -29,6 +29,10 @@ namespace mcopt::kernels {
 void triad_local(double* a, const double* b, const double* c, const double* d,
                  std::size_t n) noexcept;
 
+/// The executor's triad job inputs, b[i] = 1 + 0.5*i, c[i] = 2 - 1e-3*i and
+/// d[i] = 0.25 + 1e-6*i, written one array per pass.
+void init_triad(double* b, double* c, double* d, std::size_t n) noexcept;
+
 /// Generic dispatching triad: segmented overload recurses segment-wise into
 /// triad_local; all four sequences must be segment-compatible (equal segment
 /// sizes), which seg_array::even guarantees for equal (n, parts, ...).

@@ -371,12 +371,7 @@ void Executor::run_body(Pending& job, JobReport& rep, JobBuffer& buffer) {
       double* const b = a + n;
       double* const c = b + n;
       double* const d = c + n;
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto x = static_cast<double>(i);
-        b[i] = 1.0 + 0.5 * x;
-        c[i] = 2.0 - 1e-3 * x;
-        d[i] = 0.25 + 1e-6 * x;
-      }
+      kernels::init_triad(b, c, d, n);
       for (unsigned it = 0; it < iterations; ++it) {
         if (job.token.cancelled()) {
           cancelled = true;
@@ -396,7 +391,9 @@ void Executor::run_body(Pending& job, JobReport& rep, JobBuffer& buffer) {
       double* cur = buffer.doubles(checked_mul(2, checked_mul(n, n)));
       double* nxt = cur + n * n;
       kernels::init_jacobi(cur, n);
-      kernels::init_jacobi(nxt, n);
+      // nxt needs only its frame: every sweep writes all of its interior
+      // before the swap, and a cancelled sweep reports cur, not nxt.
+      kernels::init_jacobi_boundary(nxt, n);
       for (unsigned it = 0; it < iterations && !cancelled; ++it) {
         // Serial sweep, cancellation polled at row (segment) granularity:
         // observing the token mid-sweep abandons the in-progress destination

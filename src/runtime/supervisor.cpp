@@ -175,6 +175,7 @@ Decision Supervisor::observe(const Sample& sample, double layout_gain) {
     case Action::kReplan: m.replans.inc(); break;
     case Action::kSuppressed: m.suppressed.inc(); break;
     case Action::kScrub: m.scrubs.inc(); break;
+    case Action::kProbe: break;  // counted where the probe is issued
     case Action::kKeep: break;
   }
   return dec;

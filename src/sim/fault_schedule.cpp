@@ -152,9 +152,11 @@ util::Status FaultSchedule::check(const arch::InterleaveSpec& spec,
   // schedule re-runs this check (SimConfig::check sees only resolved ones).
   if (!has_relative() && status.ok()) {
     for (const Epoch& e : epochs(kNever)) {
-      const std::string span =
-          "[" + std::to_string(e.begin) + ", " +
-          (e.end == kNever ? std::string("inf") : std::to_string(e.end)) + ")";
+      std::string span = "[";
+      span += std::to_string(e.begin);
+      span += ", ";
+      span += e.end == kNever ? std::string("inf") : std::to_string(e.end);
+      span += ")";
       if (e.faults.surviving_controllers(spec).empty()) {
         status.note(
             "FaultSchedule: overlapping intervals offline every controller "

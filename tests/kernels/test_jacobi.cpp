@@ -67,6 +67,26 @@ TEST(JacobiInit, DenseGridMatchesPerCellRule) {
   }
 }
 
+TEST(JacobiInit, BoundaryWritesOnlyTheFrame) {
+  for (const std::size_t n : {3u, 4u, 5u, 8u, 17u}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    // One guard cell on each side of the n x n grid stays untouched.
+    std::vector<double> got(n * n + 2);
+    std::memset(got.data(), kUntouched, got.size() * sizeof(double));
+    std::vector<double> want = got;
+    std::vector<double> full = got;
+    init_jacobi_boundary(got.data() + 1, n);
+    init_jacobi(full.data() + 1, n);
+    // The frame is init_jacobi's; every interior byte keeps the sentinel.
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        if (i == 0 || i + 1 == n || j == 0 || j + 1 == n)
+          want[1 + i * n + j] = full[1 + i * n + j];
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+  }
+}
+
 TEST(JacobiSweep, MatchesReferenceImplementation) {
   const std::size_t n = 24;
   auto src = make_jacobi_grid(n, jacobi_optimal_spec(arch::AddressMap{}));

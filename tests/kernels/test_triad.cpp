@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -19,6 +20,27 @@ TEST(TriadLocal, ComputesMulAdd) {
   std::vector<double> a(8, 0.0), b(8, 1.0), c(8, 2.0), d(8, 3.0);
   triad_local(a.data(), b.data(), c.data(), d.data(), 8);
   for (double v : a) EXPECT_DOUBLE_EQ(v, 7.0);
+}
+
+TEST(TriadInit, MatchesPerElementFormulaBitForBit) {
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 16384u}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    // b, c and d back to back with a guard word around each, all 0xA5 bytes.
+    const std::size_t stride = n + 2;
+    std::vector<double> got(3 * stride);
+    std::memset(got.data(), 0xA5, got.size() * sizeof(double));
+    std::vector<double> want = got;
+    init_triad(got.data() + 1, got.data() + stride + 1,
+               got.data() + 2 * stride + 1, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto x = static_cast<double>(i);
+      want[1 + i] = 1.0 + 0.5 * x;
+      want[stride + 1 + i] = 2.0 - 1e-3 * x;
+      want[2 * stride + 1 + i] = 0.25 + 1e-6 * x;
+    }
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+  }
 }
 
 TEST(TriadGeneric, PlainPointerOverload) {
